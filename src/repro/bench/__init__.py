@@ -1,6 +1,6 @@
 """Benchmark harness: regenerate every table and figure of the paper.
 
-Use the CLI (``repro-bench --fig 5``) or call the functions in
+Use the CLI (``repro-bench figures --fig 5``) or call the functions in
 :mod:`repro.bench.figures` directly; pytest entry points live in the
 repository's ``benchmarks/`` directory.
 """

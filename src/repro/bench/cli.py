@@ -12,9 +12,8 @@ Subcommands::
     repro-bench ablate --knob checkpoint   # static-best vs on-line control
     repro-bench verify fuzz --budget 40    # forwards to repro-verify
 
-Back-compat: the original flat spellings keep working — ``repro-bench
---fig 5``, ``repro-bench --faults``, ``repro-bench --all`` and friends
-dispatch to the same runners as their subcommand forms.
+``faults`` and ``parallel`` run verify scenarios (:mod:`repro.verify`):
+every case must commit the sequential golden with the oracle clean.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import dataclasses
 import json
 import sys
 import time
+from collections import Counter
 
 from . import ablations, harness
 from .figures import FIGURES
@@ -36,7 +36,15 @@ _SERIES_META = {
     "9": ("agg age (us)", "Figure 9 — RAID: DyMA execution time vs aggregate age"),
 }
 
-_SUBCOMMANDS = ("figures", "faults", "perf", "parallel", "ablate", "verify")
+#: the elasticity smoke's churn plan: one scripted migration, then one
+#: worker leave
+_ELASTIC_SMOKE_CHURN = {
+    "seed": 7,
+    "steps": [
+        {"at": 1, "kind": "migrate", "count": 1},
+        {"at": 2, "kind": "leave", "count": 1},
+    ],
+}
 
 
 def render(fig: str, results) -> str:
@@ -49,7 +57,7 @@ def render(fig: str, results) -> str:
 
 
 # --------------------------------------------------------------------- #
-# argument groups (shared between subcommand and legacy spellings)
+# argument groups
 # --------------------------------------------------------------------- #
 def _add_figure_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fig", choices=sorted(FIGURES),
@@ -70,11 +78,6 @@ def _add_figure_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", metavar="DIR",
                         help="dump a controller-decision trace (JSONL, see "
                              "docs/observability.md) per replicate into DIR")
-
-
-def _add_fault_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--plans", type=int, default=100,
-                        help="seeded fault plans to sweep")
 
 
 def _add_perf_args(parser: argparse.ArgumentParser) -> None:
@@ -150,36 +153,59 @@ def run_figures(args: argparse.Namespace) -> int:
 
 
 def run_faults(args: argparse.Namespace) -> int:
-    from ..faults.fuzz import run_fuzz
+    from ..verify.lattice import fault_sweep_scenarios
+    from ..verify.runner import run_scenario
 
     start = time.perf_counter()
-    report = run_fuzz(plans=args.plans)
-    print(report.render())
+    results = [run_scenario(s) for s in fault_sweep_scenarios(args.plans)]
+    by_app = Counter(result.scenario.app for result in results)
+    per_app = ", ".join(f"{app}: {n}" for app, n in sorted(by_app.items()))
+    injected = sum("trace:fault.inject" in r.features for r in results)
+    retransmitted = sum("trace:net.retransmit" in r.features for r in results)
+    checks = sum(r.oracle_checks for r in results)
+    print(f"fuzzed {len(results)} case(s) ({per_app}); {injected} with "
+          f"injected faults, {retransmitted} with retransmissions, "
+          f"{checks} oracle check(s)")
+    failed = [r for r in results if not r.ok]
+    for result in failed:
+        print(f"  {result.describe()}")
+    print("PASS" if not failed else f"FAIL ({len(failed)} case(s))")
     print(f"\n[{time.perf_counter() - start:.1f}s wall]")
-    return 0 if report.ok else 1
+    return 1 if failed else 0
 
 
 def run_parallel(args: argparse.Namespace) -> int:
-    from ..parallel.validate import main as validate_main
+    from ..kernel.errors import ConfigurationError
+    from ..verify.lattice import validation_scenario
+    from ..verify.runner import run_scenario
 
-    argv: list[str] = ["--workers", str(args.workers),
-                       "--strategy", args.strategy,
-                       "--timeout", str(args.timeout)]
-    for app in args.app or ():
-        argv += ["--app", app]
-    if args.trace_dir:
-        argv += ["--trace-dir", args.trace_dir]
-    if args.churn:
-        argv += ["--churn", args.churn]
+    churn = json.loads(args.churn) if args.churn else None
+    gvt_period = args.gvt_period
     if args.elastic_smoke:
-        argv += ["--elastic-smoke"]
-    if args.gvt_period is not None:
-        argv += ["--gvt-period", str(args.gvt_period)]
-    if args.wire:
-        argv += ["--wire", args.wire]
-    if args.fastpath:
-        argv += ["--fastpath", args.fastpath]
-    return validate_main(argv)
+        if churn is not None:
+            raise SystemExit("repro-bench parallel: --elastic-smoke "
+                             "supplies its own churn plan")
+        churn = _ELASTIC_SMOKE_CHURN
+        if gvt_period is None:
+            gvt_period = 5_000.0
+    knobs: dict = {"backend": "parallel", "workers": args.workers,
+                   "wire": args.wire, "fastpath": args.fastpath,
+                   "churn": churn}
+    if gvt_period is not None:
+        knobs["gvt_period"] = gvt_period
+    try:
+        results = [
+            run_scenario(validation_scenario(app, **knobs),
+                         trace_dir=args.trace_dir)
+            for app in args.app or ("phold", "smmp")
+        ]
+    except ConfigurationError as exc:  # a malformed --churn plan
+        raise SystemExit(f"repro-bench parallel: {exc}") from None
+    for result in results:
+        print(result.describe())
+    failed = [r for r in results if not r.ok]
+    print("PASS" if not failed else f"FAIL ({len(failed)} app(s))")
+    return 1 if failed else 0
 
 
 def run_perf(args: argparse.Namespace) -> int:
@@ -322,7 +348,7 @@ def _add_ablate_args(parser: argparse.ArgumentParser) -> None:
 # --------------------------------------------------------------------- #
 # entry point
 # --------------------------------------------------------------------- #
-def _build_subcommand_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Benchmarks for the Time Warp reproduction: paper "
@@ -336,7 +362,8 @@ def _build_subcommand_parser() -> argparse.ArgumentParser:
     figures.set_defaults(runner=run_figures)
     faults = subparsers.add_parser(
         "faults", help="differential fault-injection fuzz sweep")
-    _add_fault_args(faults)
+    faults.add_argument("--plans", type=int, default=100,
+                        help="seeded fault plans to sweep")
     faults.set_defaults(runner=run_faults)
     perf = subparsers.add_parser(
         "perf", help="wall-clock performance suite (emits BENCH_3.json)")
@@ -352,12 +379,6 @@ def _build_subcommand_parser() -> argparse.ArgumentParser:
                                "default: all)")
     parallel.add_argument("--workers", type=int, default=2,
                           help="worker-process count")
-    parallel.add_argument("--strategy", default="kernighan_lin",
-                          choices=("kernighan_lin", "greedy_growth",
-                                   "round_robin"),
-                          help="partition strategy for sharding")
-    parallel.add_argument("--timeout", type=float, default=120.0,
-                          help="per-run stall timeout in seconds")
     parallel.add_argument("--trace-dir", metavar="DIR",
                           help="write per-shard JSONL traces into DIR")
     parallel.add_argument("--churn", metavar="JSON",
@@ -385,23 +406,6 @@ def _build_subcommand_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_legacy_parser() -> argparse.ArgumentParser:
-    """The original flat interface, kept as an alias layer."""
-    parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="Regenerate the figures of 'On-line Configuration of a "
-                    "Time Warp Parallel Discrete Event Simulator' (ICPP 98).",
-    )
-    _add_figure_args(parser)
-    parser.add_argument("--faults", action="store_true",
-                        help="alias for the 'faults' subcommand")
-    parser.add_argument("--perf", action="store_true",
-                        help="alias for the 'perf' subcommand")
-    _add_fault_args(parser)
-    _add_perf_args(parser)
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "verify":
@@ -409,21 +413,8 @@ def main(argv: list[str] | None = None) -> int:
         from ..verify.cli import main as verify_main
 
         return verify_main(argv[1:])
-    if argv and argv[0] in _SUBCOMMANDS:
-        parser = _build_subcommand_parser()
-        args = parser.parse_args(argv)
-        return args.runner(args)
-
-    parser = _build_legacy_parser()
-    args = parser.parse_args(argv)
-    if args.faults:
-        return run_faults(args)
-    if args.perf:
-        return run_perf(args)
-    if not (args.fig or args.all or args.ablation):
-        parser.error("choose a subcommand (figures/faults/perf) or "
-                     "--fig N, --all, --ablation NAME, --faults, --perf")
-    return run_figures(args)
+    args = _build_parser().parse_args(argv)
+    return args.runner(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,8 +3,9 @@
 A seeded :class:`FaultPlan` describes drop/duplicate/delay/reorder
 behaviour; configuring one (``SimulationConfig(faults=plan)``) swaps the
 perfect wire for a :class:`FaultyNetwork` with a reliable transport on
-top.  :mod:`repro.faults.fuzz` sweeps plans differentially against the
-sequential kernel (``repro-bench --faults``).
+top.  ``repro-bench faults`` sweeps seeded plans as verify scenarios
+(:func:`repro.verify.lattice.fault_sweep_scenarios`), differentially
+against the sequential kernel.
 """
 
 from .network import FaultCounters, FaultyNetwork

@@ -16,7 +16,7 @@ termination, and merges the per-shard statistics into one
 
 A parallel run is **not** tick-for-tick deterministic — OS scheduling
 decides the rollback pattern — so correctness is enforced differentially
-(:mod:`repro.parallel.validate`): committed model counters and final
+(:mod:`repro.verify.runner`): committed model counters and final
 object states must match the sequential golden, and the invariant oracle
 runs inside every worker.  See docs/parallel.md.
 """

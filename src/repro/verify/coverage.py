@@ -45,7 +45,7 @@ def features_for(scenario: Scenario, result, raw: dict) -> set[str]:
 
     ``result`` is the :class:`~repro.verify.runner.ScenarioResult` under
     construction; ``raw`` is the runner's backend-specific bag (stats,
-    oracle, trace record types).
+    oracle check kinds, trace record types).
     """
     s = scenario
     features = {
@@ -90,10 +90,8 @@ def features_for(scenario: Scenario, result, raw: dict) -> set[str]:
             ostats.mode_switches for ostats in stats.per_object.values()
         )
         features.add(f"switches:{bucket(switches)}")
-    oracle = raw.get("oracle")
-    if oracle is not None:
-        for kind in oracle.checks_by_kind:
-            features.add(f"oracle:{kind}")
+    for kind in raw.get("oracle_kinds", ()):
+        features.add(f"oracle:{kind}")
     for rtype in raw.get("trace_types", ()):
         features.add(f"trace:{rtype}")
     return features

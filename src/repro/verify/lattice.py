@@ -8,12 +8,16 @@ matter: every value of every axis, one axis at a time, from a default
 pivot per app, plus every backend variant of the pivot.  The fuzzer
 (:mod:`repro.verify.fuzzer`) explores the interior of the lattice; the
 sweep guarantees the axes themselves are always covered.
+
+``fault_sweep_scenarios`` is the seeded fault-plan sweep behind
+``repro-bench faults`` (docs/robustness.md).
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+from ..faults.plan import FaultPlan, FaultRates
 from .runner import fork_available
 from .scenario import (
     AGGREGATION_VARIANTS,
@@ -72,3 +76,33 @@ def sweep_scenarios(
                     yield from emit(
                         pivot.with_(backend="parallel", workers=workers)
                     )
+
+
+#: the fault sweep's rates: every fault class on -- drop, duplicate and
+#: reorder per the acceptance bar, plus a little extra latency noise
+FAULT_SWEEP_RATES = FaultRates(drop=0.08, duplicate=0.08, delay=0.06, reorder=0.08)
+
+#: virtual-time horizon for PHOLD (which is unbounded) in the fault sweep
+#: and the parallel validation; the other apps run to quiescence
+PHOLD_END_TIME = 300.0
+
+
+def validation_scenario(app: str, **knobs) -> Scenario:
+    """``app`` at its validation horizon, with ``knobs`` set."""
+    end_time = PHOLD_END_TIME if app == "phold" else None
+    return Scenario(app=app, end_time=end_time, **knobs)
+
+
+def fault_sweep_scenarios(
+    plans: int, apps: tuple[str, ...] = ("phold", "smmp")
+) -> Iterator[Scenario]:
+    """``plans`` seeded fault plans over ``apps``, plan seed by plan seed.
+
+    Seed ``s`` runs with the omniscient GVT when even and Mattern when
+    odd, so both estimators face every second plan.
+    """
+    for seed in range(plans):
+        faults = FaultPlan(seed=seed, rates=FAULT_SWEEP_RATES).to_dict()
+        gvt = "mattern" if seed % 2 else "omniscient"
+        for app in apps:
+            yield validation_scenario(app, faults=faults, gvt_algorithm=gvt)

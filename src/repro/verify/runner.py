@@ -29,10 +29,11 @@ import json
 import multiprocessing
 import time
 from collections import Counter
-from dataclasses import dataclass, fields as dc_fields, is_dataclass
+from dataclasses import dataclass, field, fields as dc_fields, is_dataclass
 from typing import Any
 
 from ..conservative import ConservativeSimulation
+from ..kernel.arena import resolve_fastpath
 from ..kernel.kernel import TimeWarpSimulation
 from ..oracle.invariants import InvariantOracle
 from ..sequential import SequentialSimulation
@@ -158,6 +159,13 @@ class ScenarioResult:
     features: frozenset = frozenset()
     wall_s: float = 0.0
     error: str = ""
+    #: per-object disagreements with the golden, filled on a digest mismatch
+    mismatches: tuple[str, ...] = ()
+    #: the backend's raw outputs the features were drawn from (stats,
+    #: oracle check kinds, trace record types; on the parallel backend
+    #: also the wire and fastpath it resolved to, its migrations and its
+    #: worker timeline)
+    raw: dict = field(default_factory=dict, repr=False)
 
     @property
     def failure_kind(self) -> str:
@@ -178,22 +186,39 @@ class ScenarioResult:
 
     def describe(self) -> str:
         s = self.scenario
-        knobs = (
-            f"{s.app} backend={s.backend}"
-            + (f":{s.workers}w" if s.backend == "parallel" else "")
-            + f" cancel={s.cancellation} chi={s.checkpoint}"
+        knobs = f"{s.app} backend={s.backend}"
+        if s.backend == "parallel":
+            knobs += (
+                f":{s.workers}w wire={self.raw.get('wire', s.wire or 'default')}"
+                f" fastpath={self.raw.get('fastpath', s.fastpath or 'default')}"
+            )
+        knobs += (
+            f" cancel={s.cancellation} chi={s.checkpoint}"
             f" agg={s.aggregation} snap={s.snapshot} gvt={s.gvt_algorithm}"
-            + (" faults" if s.faults else "")
+            + (f" faults(plan_seed={s.faults.get('seed')})" if s.faults else "")
         )
         if self.ok:
-            return f"PASS {knobs} ({self.committed} events, {self.wall_s:.2f}s)"
-        detail = self.error or (
-            f"committed {self.committed}/{self.expected}, "
-            f"digest_match={self.digest_match}, "
-            f"trace_match={self.trace_match}, "
-            f"violations={list(self.violations)}"
-        )
-        return f"FAIL[{self.failure_kind}] {knobs}: {detail}"
+            lines = [
+                f"PASS {knobs} ({self.committed} events, "
+                f"{self.oracle_checks} oracle check(s), {self.wall_s:.2f}s)"
+            ]
+        else:
+            detail = self.error or (
+                f"committed {self.committed}/{self.expected}, "
+                f"digest_match={self.digest_match}, "
+                f"trace_match={self.trace_match}, "
+                f"violations={list(self.violations)}"
+            )
+            lines = [f"FAIL[{self.failure_kind}] {knobs}: {detail}"]
+        timeline = self.raw.get("worker_timeline", ())
+        if self.raw.get("migrations") or len(timeline) > 1:
+            steps = " -> ".join(f"{n}w@{at}" for at, n in timeline)
+            lines.append(
+                f"  elastic: {self.raw['migrations']} migration(s), "
+                f"workers {steps}"
+            )
+        lines.extend(f"  {mismatch}" for mismatch in self.mismatches)
+        return "\n".join(lines)
 
 
 # --------------------------------------------------------------------- #
@@ -204,11 +229,14 @@ def run_scenario(
     *,
     collect_trace_features: bool = True,
     timeout_s: float = PARALLEL_TIMEOUT_S,
+    trace_dir: str | None = None,
 ) -> ScenarioResult:
     """Run one scenario on its backend and apply every check.
 
     A crash inside the run is a *finding* (``error:<Type>``), not a
     harness abort — the fuzzer shrinks crashes exactly like divergences.
+    ``timeout_s`` and ``trace_dir`` (per-shard JSONL traces) are
+    run-local plumbing for the parallel backend.
     """
     from .coverage import features_for  # cycle: coverage imports runner types
 
@@ -223,10 +251,11 @@ def run_scenario(
         elif scenario.backend == "conservative":
             raw = _run_conservative(scenario, golden, result)
         else:
-            raw = _run_parallel(scenario, golden, result, timeout_s)
+            raw = _run_parallel(scenario, golden, result, timeout_s, trace_dir)
     except Exception as exc:
         result.error = f"{type(exc).__name__}: {exc}"
     result.wall_s = time.perf_counter() - started
+    result.raw = raw
     result.features = frozenset(features_for(scenario, result, raw))
     return result
 
@@ -239,6 +268,17 @@ def _finish(
     result.digest = committed_digest(records)
     result.committed = sum(count for count, _ in records.values())
     result.digest_match = result.digest == golden.digest
+    if not result.digest_match:
+        result.mismatches = tuple(_mismatches(golden, records))
+
+
+def _mismatches(golden: GoldenRef, records: dict[str, tuple[int, Any]]):
+    for name, (count, state) in sorted(records.items()):
+        want = golden.per_object.get(name, 0)
+        if count != want:
+            yield f"count mismatch {name}: run={count} sequential={want}"
+        if canonical_value(state) != canonical_value(golden.states[name]):
+            yield f"final-state mismatch: {name}"
 
 
 def _run_modelled(
@@ -272,7 +312,7 @@ def _run_modelled(
     result.oracle_checks = oracle.checks
     return {
         "stats": stats,
-        "oracle": oracle,
+        "oracle_kinds": set(oracle.checks_by_kind),
         "trace_types": (
             {r["type"] for r in tracer.records} if tracer is not None else set()
         ),
@@ -305,6 +345,7 @@ def _run_parallel(
     golden: GoldenRef,
     result: ScenarioResult,
     timeout_s: float,
+    trace_dir: str | None,
 ) -> dict[str, Any]:
     if not fork_available():  # pragma: no cover - platform dependent
         result.error = (
@@ -318,7 +359,8 @@ def _run_parallel(
         max_executed_events=MAX_EXECUTED_EVENTS,
     )
     sim = ParallelSimulation.from_builder(
-        scenario.build_partition, config, timeout_s=timeout_s
+        scenario.build_partition, config,
+        timeout_s=timeout_s, trace_dir=trace_dir,
     )
     stats = sim.run()
     records = {
@@ -340,4 +382,6 @@ def _run_parallel(
         "gvt_rounds": sim.gvt_rounds_run,
         "migrations": sim.migrations_in,
         "worker_timeline": tuple(sim.worker_timeline),
+        "wire": sim.wire,
+        "fastpath": resolve_fastpath(config.fastpath),
     }

@@ -111,7 +111,7 @@ class TestCLI:
             cli_main([])
 
     def test_runs_baseline(self, capsys):
-        rc = cli_main(["--fig", "baseline", "--scale", "0.01",
+        rc = cli_main(["figures", "--fig", "baseline", "--scale", "0.01",
                        "--replicates", "1"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -120,11 +120,11 @@ class TestCLI:
 
     def test_unknown_fig_rejected(self):
         with pytest.raises(SystemExit):
-            cli_main(["--fig", "42"])
+            cli_main(["figures", "--fig", "42"])
 
     def test_json_dump(self, capsys, tmp_path):
         path = tmp_path / "out.json"
-        rc = cli_main(["--fig", "baseline", "--scale", "0.01",
+        rc = cli_main(["figures", "--fig", "baseline", "--scale", "0.01",
                        "--replicates", "1", "--json", str(path)])
         assert rc == 0
         import json
@@ -136,7 +136,7 @@ class TestCLI:
         assert all("execution_time_us" in row for row in data["baseline"])
 
     def test_ablation_entry(self, capsys):
-        rc = cli_main(["--ablation", "control-period", "--scale", "0.02",
-                       "--replicates", "1"])
+        rc = cli_main(["figures", "--ablation", "control-period",
+                       "--scale", "0.02", "--replicates", "1"])
         assert rc == 0
         assert "A3" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 schema drift-guard against docs/benchmarking.md."""
 
 import json
+import multiprocessing
 import re
 from pathlib import Path
 
@@ -15,6 +16,11 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: fast deterministic benchmark used by the CLI round trips
 FAST = "queue.insert_pop"
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="parallel backend requires the fork start method",
+)
 
 
 def _quick_doc(only: str = FAST):
@@ -32,11 +38,12 @@ class TestSubcommandSpellings:
         assert FAST in doc["benchmarks"]
         assert "perf suite" in capsys.readouterr().out
 
-    def test_perf_legacy_flag(self, capsys):
-        rc = cli_main(["--perf", "--quick", "--reps", "1", "--warmup", "0",
-                       "--only", FAST, "--out", "-"])
-        assert rc == 0
-        assert "perf suite" in capsys.readouterr().out
+    def test_legacy_flat_flags_are_rejected(self, capsys):
+        # one grammar: the flat spellings (--faults, --perf, --fig) are gone
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["--faults"])
+        assert excinfo.value.code == 2
+        assert "repro-bench: error:" in capsys.readouterr().err
 
     def test_figures_subcommand(self, capsys):
         rc = cli_main(["figures", "--fig", "baseline", "--scale", "0.01",
@@ -52,6 +59,19 @@ class TestSubcommandSpellings:
         rc = cli_main(["faults", "--plans", "2"])
         assert rc == 0
         assert "fuzzed" in capsys.readouterr().out.lower()
+
+    @needs_fork
+    def test_parallel_subcommand(self, capsys):
+        rc = cli_main(["parallel", "--app", "smmp", "--workers", "2",
+                       "--wire", "queue"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "PASS smmp backend=parallel:2w wire=queue" in out
+
+    def test_parallel_subcommand_drops_partition_flags(self):
+        for flag in (["--strategy", "round_robin"], ["--timeout", "5"]):
+            with pytest.raises(SystemExit):
+                cli_main(["parallel", "--app", "smmp", *flag])
 
     def test_unknown_subcommand_falls_back_to_legacy_error(self):
         with pytest.raises(SystemExit):

@@ -13,10 +13,10 @@ from repro import (
     TimeWarpSimulation,
 )
 from repro.apps.phold import PHOLDParams, build_phold
-from repro.faults.fuzz import make_plan, run_case
 from repro.kernel.errors import InvariantViolationError
 from repro.oracle import NULL_ORACLE
 from repro.oracle.invariants import state_digest
+from repro.verify import Scenario, run_scenario
 
 
 @dataclass
@@ -179,7 +179,9 @@ class TestEndToEnd:
         # Retransmission off: an injected drop is permanent and must be
         # *detected* — this is the acceptance criterion that proves the
         # oracle can fail.
-        plan = make_plan(1, FaultRates(drop=0.15), retransmit=False)
-        case = run_case("phold", plan, gvt_algorithm="omniscient")
-        assert not case.ok
-        assert "message_loss" in case.violations
+        plan = FaultPlan(seed=1, rates=FaultRates(drop=0.15), retransmit=False)
+        result = run_scenario(
+            Scenario(app="phold", end_time=300.0, faults=plan.to_dict())
+        )
+        assert not result.ok
+        assert "message_loss" in result.violations

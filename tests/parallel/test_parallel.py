@@ -10,14 +10,13 @@ import multiprocessing
 import pytest
 
 from repro import SimulationConfig, TimeWarpSimulation, make_simulation
-from repro.faults.fuzz import APPS
 from repro.kernel.errors import ConfigurationError
-from repro.parallel import (
-    ParallelSimulation,
-    resolve_strategy,
-    run_differential,
-    sequential_golden,
-)
+from repro.parallel import ParallelSimulation, resolve_strategy
+from repro.verify import Scenario, run_scenario, sequential_golden
+from repro.verify.lattice import validation_scenario
+
+#: the phold workload the parallel validation runs (``repro-bench parallel``)
+PHOLD = Scenario(app="phold", end_time=300.0)
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -25,63 +24,67 @@ needs_fork = pytest.mark.skipif(
 )
 
 
+def parallel_run(app, workers):
+    return run_scenario(
+        validation_scenario(app, backend="parallel", workers=workers)
+    )
+
+
 @pytest.fixture(scope="module")
 def phold_2w():
-    return run_differential("phold", 2)
+    return parallel_run("phold", 2)
 
 
 @pytest.fixture(scope="module")
 def smmp_2w():
-    return run_differential("smmp", 2)
+    return parallel_run("smmp", 2)
 
 
 @needs_fork
 class TestDifferential:
     def test_phold_two_workers_matches_golden(self, phold_2w):
-        assert phold_2w.ok, phold_2w.render()
+        assert phold_2w.ok, phold_2w.describe()
         assert phold_2w.committed == phold_2w.expected > 0
-        assert phold_2w.count_mismatches == ()
-        assert phold_2w.state_mismatches == ()
+        assert phold_2w.digest_match
+        assert phold_2w.mismatches == ()
 
     def test_phold_oracle_armed_and_clean(self, phold_2w):
         assert phold_2w.oracle_checks > 0
         assert phold_2w.violations == ()
 
     def test_smmp_two_workers_matches_golden(self, smmp_2w):
-        assert smmp_2w.ok, smmp_2w.render()
+        assert smmp_2w.ok, smmp_2w.describe()
         assert smmp_2w.committed == smmp_2w.expected > 0
 
     def test_single_worker_matches_golden(self):
-        result = run_differential("phold", 1)
-        assert result.ok, result.render()
+        result = parallel_run("phold", 1)
+        assert result.ok, result.describe()
         # one shard: nothing crosses a process boundary, nothing rolls back
-        assert result.rollbacks == 0
+        assert result.raw["stats"].rollbacks == 0
 
     def test_render_mentions_outcome(self, phold_2w):
-        text = phold_2w.render()
-        assert text.startswith("PASS phold workers=2")
+        text = phold_2w.describe()
+        assert text.startswith("PASS phold backend=parallel:2w wire=")
+        assert "fastpath=" in text
         assert "oracle check(s)" in text
 
     def test_golden_is_cached_and_stable(self):
-        first = sequential_golden("phold")
-        assert sequential_golden("phold") is first
-        counts, states, total = first
-        assert sum(counts.values()) == total > 0
-        assert set(states) >= set(counts)
+        first = sequential_golden(PHOLD)
+        assert sequential_golden(PHOLD) is first
+        assert sum(first.per_object.values()) == first.committed > 0
+        assert set(first.states) >= set(first.per_object)
 
 
 @needs_fork
 class TestDirectConstruction:
     def test_make_simulation_run_and_run_once(self):
-        build, end_time = APPS["phold"]
         config = SimulationConfig(
-            backend="parallel", workers=2, end_time=end_time
+            backend="parallel", workers=2, end_time=PHOLD.end_time
         )
-        sim = make_simulation(build(), config)
+        sim = make_simulation(PHOLD.build_partition(), config)
         assert isinstance(sim, ParallelSimulation)
         stats = sim.run()
-        _, _, expected = sequential_golden("phold")
-        assert stats.committed_events == expected
+        assert stats.committed_events == sequential_golden(PHOLD).committed
         with pytest.raises(ConfigurationError, match="only run once"):
             sim.run()
 
@@ -106,15 +109,13 @@ class TestConfigValidation:
             config.validate()
 
     def test_modelled_backend_unchanged(self):
-        build, _ = APPS["phold"]
-        sim = make_simulation(build(), SimulationConfig())
+        sim = make_simulation(PHOLD.build_partition(), SimulationConfig())
         assert isinstance(sim, TimeWarpSimulation)
 
 
 class TestSharding:
     def _partition(self):
-        build, _ = APPS["phold"]
-        return build()
+        return PHOLD.build_partition()
 
     def _names(self, partition):
         return [obj.name for group in partition for obj in group]

@@ -29,6 +29,11 @@ from repro.parallel.wire import (
     decode_batch,
     encode_batch,
 )
+from repro.verify import Scenario, run_scenario
+from repro.verify.lattice import validation_scenario
+
+#: the phold workload the parallel validation runs (``repro-bench parallel``)
+PHOLD = Scenario(app="phold", end_time=300.0)
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -360,18 +365,18 @@ class TestWireParity:
         pytest.param("shm", marks=needs_tso), "queue",
     ])
     def test_differential_matches_golden(self, wire):
-        from repro.parallel import run_differential
-
-        result = run_differential("phold", 2, wire=wire)
-        assert result.ok, result.render()
-        assert result.wire == wire
+        result = run_scenario(validation_scenario(
+            "phold", backend="parallel", workers=2, wire=wire
+        ))
+        assert result.ok, result.describe()
+        assert result.raw["wire"] == wire
+        assert f"wire={wire}" in result.describe()
 
     @needs_tso
     def test_shm_run_reports_ring_traffic(self):
-        from repro.faults.fuzz import APPS
         from repro.parallel.backend import ParallelSimulation
 
-        build, end_time = APPS["phold"]
+        build, end_time = PHOLD.build_partition, PHOLD.end_time
         config = SimulationConfig(backend="parallel", workers=2,
                                   end_time=end_time, wire="shm")
         sim = ParallelSimulation.from_builder(build, config)
@@ -381,10 +386,9 @@ class TestWireParity:
         assert sim.wire_stats["ring_bytes_sent"] > 0
 
     def test_single_worker_degrades_to_queue(self):
-        from repro.faults.fuzz import APPS
         from repro.parallel.backend import ParallelSimulation
 
-        build, end_time = APPS["phold"]
+        build, end_time = PHOLD.build_partition, PHOLD.end_time
         config = SimulationConfig(backend="parallel", workers=1,
                                   end_time=end_time, wire="shm")
         sim = ParallelSimulation.from_builder(build, config)
@@ -392,11 +396,10 @@ class TestWireParity:
         assert sim.wire == "queue"  # no shard pairs, no rings
 
     def test_non_tso_machine_degrades_to_queue(self, monkeypatch):
-        from repro.faults.fuzz import APPS
         from repro.parallel import backend as backend_mod
 
         monkeypatch.setattr(backend_mod, "shm_wire_supported", lambda: False)
-        build, end_time = APPS["phold"]
+        build, end_time = PHOLD.build_partition, PHOLD.end_time
         config = SimulationConfig(backend="parallel", workers=2,
                                   end_time=end_time, wire="shm")
         sim = backend_mod.ParallelSimulation.from_builder(build, config)

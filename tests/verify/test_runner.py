@@ -122,3 +122,28 @@ def test_failure_kind_ordering():
     assert r.failure_kind == "trace"
     r.trace_match = True
     assert r.ok
+
+
+def test_digest_mismatch_lists_the_disagreeing_objects(monkeypatch):
+    import dataclasses
+
+    import repro.verify.runner as runner_mod
+
+    scenario = Scenario()
+    golden = sequential_golden(scenario)
+    name = sorted(golden.per_object)[0]
+    tampered = dataclasses.replace(
+        golden,
+        digest="0" * 64,
+        per_object={**golden.per_object, name: golden.per_object[name] + 1},
+    )
+    monkeypatch.setitem(
+        runner_mod._golden_cache, runner_mod._golden_key(scenario), tampered
+    )
+    result = run_scenario(scenario)
+    assert result.failure_kind == "digest"
+    want = golden.per_object[name] + 1
+    assert result.mismatches == (
+        f"count mismatch {name}: run={want - 1} sequential={want}",
+    )
+    assert result.mismatches[0] in result.describe()

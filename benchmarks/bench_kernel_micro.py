@@ -172,27 +172,6 @@ def test_micro_annihilate_scan(benchmark):
     assert benchmark(run) == 1000
 
 
-def test_micro_gvt_local_min(benchmark):
-    """The GVT local lower bound as one reduction over the time column."""
-
-    _numpy_or_skip()
-    from repro.kernel.arena import EventArena
-
-    arena = EventArena()
-    arena.insert_batch([
-        make_event(recv_time=float(1 + (i * 7919) % 1000), serial=i)
-        for i in range(4000)
-    ])
-
-    def run():
-        total = 0.0
-        for _ in range(100):
-            total += arena.min_alive_time()
-        return total
-
-    assert benchmark(run) > 0.0
-
-
 def test_micro_snapshot_array(benchmark):
     """Block ndarray.copy() checkpointing of an array-backed state."""
 

@@ -25,11 +25,10 @@ pay full per-message cost — GVT is not free, which is why its period is
 worth an ablation, see ``benchmarks/bench_abl_gvt_period.py``).
 
 Every ``mvt`` contribution below goes through
-:meth:`~repro.kernel.lp.LogicalProcess.local_min`, which on the numpy
-fast path is a single vectorized reduction over the LP's
-:class:`~repro.kernel.arena.EventArena` time column rather than a
-per-member heap walk — the token ring gets the same speedup as the
-omniscient scan without any change here.
+:meth:`~repro.kernel.lp.LogicalProcess.local_min`, whose input-queue term
+is the top of the LP's ready heap rather than a per-member walk — the
+token ring gets the same speedup as the omniscient scan without any
+change here.
 """
 
 from __future__ import annotations

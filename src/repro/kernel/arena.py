@@ -3,9 +3,8 @@
 The pure-Python kernel keeps every pending event as a boxed
 :class:`~repro.kernel.event.Event` inside a per-object ``heapq`` of
 ``(EventKey, Event)`` tuples.  That is simple and exactly ordered, but the
-three hottest scans of a Time Warp run — the GVT local-minimum sweep, the
-anti-message annihilation match and tombstone compaction — then walk
-Python objects one attribute lookup at a time.
+anti-message annihilation match and tombstone compaction then walk Python
+objects one attribute lookup at a time.
 
 This module provides the optional ``fastpath="numpy"`` alternative:
 
@@ -209,9 +208,9 @@ class EventArena:
     def flush(self) -> None:
         """Apply deferred numpy writes so raw column reads are coherent.
 
-        The vectorized entry points (:meth:`min_alive_time`,
-        :meth:`match_antis`, :meth:`compact`) flush on their own; call
-        this before reading ``alive`` or the columns directly.
+        The vectorized entry points (:meth:`match_antis`,
+        :meth:`compact`) flush on their own; call this before reading
+        ``alive`` or the columns directly.
         """
         self._flush_staged()
 
@@ -375,17 +374,6 @@ class EventArena:
     # ------------------------------------------------------------------ #
     # vectorized scans
     # ------------------------------------------------------------------ #
-    def min_alive_time(self) -> VirtualTime | None:
-        """Smallest receive time over every live row: the LP's input-queue
-        contribution to the GVT local minimum, in one vectorized scan."""
-        if self._live == 0:
-            return None
-        self._flush_staged()
-        n = self._n
-        return float(_np.min(
-            self.recv_times[:n], initial=_np.inf, where=self.alive[:n]
-        ))
-
     def match_antis(
         self, senders: Sequence[int], serials: Sequence[int]
     ) -> list[int]:
@@ -425,7 +413,7 @@ class ArrayInputQueue(InputQueue):
     differential suite holds the two implementations against each other.
     """
 
-    __slots__ = ("_arena", "_stale", "_events", "_top")
+    __slots__ = ("_arena", "_stale", "_events")
 
     def __init__(self, arena: EventArena) -> None:
         super().__init__()
@@ -437,17 +425,12 @@ class ArrayInputQueue(InputQueue):
         #: hot path skips two attribute hops; compaction replaces the
         #: list, and :meth:`_remap_slots` re-reads it
         self._events = arena.events
-        #: memoized ``(key, event)`` of the heap top — the scheduler
-        #: re-peeks every member each step, and only one member mutates
-        #: between steps; every mutator resets this to ``None``
-        self._top: tuple[EventKey, Event] | None = None
         arena.register(self)
 
     # ------------------------------------------------------------------ #
     # insertion and annihilation
     # ------------------------------------------------------------------ #
     def insert_positive(self, event: Event) -> bool:
-        self._top = None
         eid = event.event_id()
         if eid in self._pending_antis:
             del self._pending_antis[eid]
@@ -465,7 +448,6 @@ class ArrayInputQueue(InputQueue):
         by stashed anti-messages annihilate on the spot, exactly as in
         :meth:`insert_positive`).
         """
-        self._top = None
         pending = self._pending_antis
         if pending:
             live = []
@@ -491,7 +473,6 @@ class ArrayInputQueue(InputQueue):
         return len(events)
 
     def insert_anti(self, anti: Event) -> Event | None:
-        self._top = None
         eid = anti.event_id()
         slot = self._future_ids.pop(eid, None)
         if slot is not None:
@@ -516,7 +497,6 @@ class ArrayInputQueue(InputQueue):
         """
         if not antis:
             return []
-        self._top = None
         arena = self._arena
         matched = arena.match_antis(
             [a.sender for a in antis], [a.serial for a in antis]
@@ -563,13 +543,10 @@ class ArrayInputQueue(InputQueue):
         self._stale = stale
 
     def peek_next(self) -> Event | None:
-        entry = self._top or self.peek_next_entry()
+        entry = self.peek_next_entry()
         return entry[1] if entry is not None else None
 
     def peek_next_entry(self) -> tuple[EventKey, Event] | None:
-        top = self._top
-        if top is not None:
-            return top
         if self._stale:
             self._skip_stale()
         future = self._future
@@ -579,12 +556,9 @@ class ArrayInputQueue(InputQueue):
         event = self._events[slot]
         if event is None:
             event = self._arena.handle(slot)
-        top = (key, event)
-        self._top = top
-        return top
+        return key, event
 
     def pop_next(self) -> Event:
-        self._top = None
         if self._stale:
             self._skip_stale()
         if not self._future:
@@ -622,7 +596,6 @@ class ArrayInputQueue(InputQueue):
     # rollback
     # ------------------------------------------------------------------ #
     def rollback(self, key: EventKey) -> list[Event]:
-        self._top = None
         split = len(self.processed)
         while split > 0 and self.processed[split - 1].key() >= key:
             split -= 1
@@ -646,9 +619,8 @@ class ArrayInputQueue(InputQueue):
 
         Live migration detaches an object from its LP; its unprocessed
         events leave with the checkpoint, so their rows must die here or
-        the arena's local-min scan would keep seeing a departed member.
+        the arena would count them live (and never compact them away).
         """
-        self._top = None
         arena = self._arena
         ids = self._future_ids
         while ids:
@@ -684,5 +656,4 @@ class ArrayInputQueue(InputQueue):
         self._future_ids.clear()
         self._future_ids.update(new_ids)
         self._stale = 0
-        self._top = None
         self._events = self._arena.events  # compaction rebuilt the list

@@ -133,8 +133,8 @@ class SimulationConfig:
 
     #: hot-loop implementation for the Time Warp kernel: "numpy" backs
     #: each LP's input queues with a struct-of-arrays
-    #: :class:`repro.kernel.arena.EventArena` (vectorized annihilation,
-    #: GVT local-min scans and tombstone compaction); "python" keeps the
+    #: :class:`repro.kernel.arena.EventArena` (vectorized annihilation
+    #: and tombstone compaction); "python" keeps the
     #: pure ``heapq`` structures; ``None`` (the default) auto-selects
     #: "numpy" when numpy is importable.  Both paths commit
     #: byte-identical results, and "numpy" silently degrades to "python"

@@ -1,16 +1,18 @@
 """Logical processes: scheduling, rollback, coast-forward and cancellation.
 
 An LP groups simulation objects that share an address space (one modelled
-workstation).  It schedules its members lowest-timestamp-first, detects
-stragglers and anti-messages on delivery, performs rollback with periodic
-check-pointing and coast-forward, dispatches undone sends to the active
-cancellation strategy, and runs the per-object feedback controllers at
-their configured periods.  All CPU work is charged to the LP's wall clock
+workstation).  It schedules its members lowest-timestamp-first from a lazy
+ready heap (a member is re-peeked only after its input queue changed),
+detects stragglers and anti-messages on delivery, performs rollback with
+periodic check-pointing and coast-forward, dispatches undone sends to the
+active cancellation strategy, and runs the per-object feedback controllers
+at their configured periods.  All CPU work is charged to the LP's wall clock
 (``self.clock``); the cluster executive orders LPs by that clock.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -64,6 +66,9 @@ class ObjectContext:
     comparisons_since_control: int = 0
     events_since_ckpt_control: int = 0
     stats: ObjectStats = field(default_factory=ObjectStats)
+    #: smallest unprocessed key when the member was last peeked — the key
+    #: it is published under on its LP's ready heap (``None``: no work)
+    ready_key: EventKey | None = None
 
     @property
     def state(self):
@@ -119,6 +124,11 @@ class LogicalProcess:
         self._lp_of = lp_of
         self.members: dict[int, ObjectContext] = {}
         self._member_list: list[ObjectContext] = []
+        #: lazy ready heap of ``(ready_key, oid)``; an entry is live iff it
+        #: carries its hosted member's current ``ready_key`` object
+        self._ready: list[tuple[EventKey, int]] = []
+        #: members whose input queue changed since they were last peeked
+        self._dirty: dict[int, ObjectContext] = {}
         self.comm: "CommModule" = None  # type: ignore[assignment]
         #: absolute virtual-time optimism bound (GVT + window), set by the
         #: executive when a time-window policy is active
@@ -162,6 +172,31 @@ class LogicalProcess:
         obj.bind(_ObjectServices(self, ctx))
         self.members[oid] = ctx
         self._member_list.append(ctx)
+        self._dirty[oid] = ctx
+        return ctx
+
+    def adopt(self, ctx: ObjectContext) -> None:
+        """Host an already-built context (a migrated-in object)."""
+        if ctx.oid in self.members:
+            raise SchedulingError(f"LP {self.lp_id} already hosts object {ctx.oid}")
+        ctx.obj.bind(_ObjectServices(self, ctx))
+        self.members[ctx.oid] = ctx
+        self._member_list.append(ctx)
+        self._member_list.sort(key=lambda member: member.oid)
+        ctx.ready_key = None  # not on this heap yet: the refresh publishes it
+        self._dirty[ctx.oid] = ctx
+
+    def release(self, oid: int) -> ObjectContext:
+        """Stop hosting ``oid`` (a migrated-out object); its heap entries
+        go stale because the oid no longer resolves to a member."""
+        ctx = self.members.pop(oid)
+        self._member_list.remove(ctx)
+        self._dirty.pop(oid, None)
+        if isinstance(ctx.iq, ArrayInputQueue):
+            # the member's unprocessed events leave with it; their arena
+            # rows must die too
+            ctx.iq.detach()
+        ctx.obj._services = None  # sever the stale kernel binding
         return ctx
 
     def initialize(self) -> None:
@@ -179,11 +214,13 @@ class LogicalProcess:
         for ctx in self._member_list:
             ctx.current_cause_key = INITIAL_KEY
             ctx.obj.initialize()
+            state = self.snapshot_strategy.snapshot(ctx.state)
             saved = SavedState(
                 last_key=None,
                 lvt=0.0,
                 event_count=0,
-                state=self.snapshot_strategy.snapshot(ctx.state),
+                state=state,
+                size=state.size_bytes(),
             )
             ctx.sq.save(saved)
             oracle = self.oracle
@@ -240,6 +277,7 @@ class LogicalProcess:
         if last is not None and event.key() < last:
             self._rollback(ctx, event.key(), primary=True)
         ctx.iq.insert_positive(event)
+        self._dirty[ctx.oid] = ctx
 
     def _handle_anti(self, ctx: ObjectContext, anti: Event) -> None:
         processed = ctx.iq.insert_anti(anti)
@@ -252,6 +290,7 @@ class LogicalProcess:
                 raise CausalityViolationError(
                     "anti-message did not annihilate after rollback"
                 )
+        self._dirty[ctx.oid] = ctx
 
     # ------------------------------------------------------------------ #
     # rollback machinery
@@ -266,11 +305,13 @@ class LogicalProcess:
         ctx.ckpt_window.rollbacks += 1
 
         rolled = ctx.iq.rollback(key)
+        self._dirty[ctx.oid] = ctx
         stats.events_rolled_back += len(rolled)
 
         snapshot = ctx.sq.restore_for(key)
-        size = snapshot.state.size_bytes()
-        self.charge(self.costs.rollback_base + self.costs.state_restore(size))
+        self.charge(
+            self.costs.rollback_base + self.costs.state_restore(snapshot.size)
+        )
         stats.state_restores += 1
         ctx.state = self.snapshot_strategy.snapshot(snapshot.state)
         ctx.lvt = snapshot.lvt
@@ -490,35 +531,68 @@ class LogicalProcess:
     # ------------------------------------------------------------------ #
     # forward execution
     # ------------------------------------------------------------------ #
-    def next_work(self) -> tuple[ObjectContext, Event] | None:
-        """Member with the lowest-key unprocessed event within the
-        virtual-time horizon and the optimism window."""
-        best_ctx: ObjectContext | None = None
-        best_key: EventKey | None = None
-        best_event: Event | None = None
-        end_time = self.end_time
-        if self.optimism_bound < end_time:
-            end_time = self.optimism_bound
-        for ctx in self._member_list:
+    def _refresh_ready(self) -> None:
+        """Re-peek the dirty members; publish each changed key."""
+        ready = self._ready
+        for ctx in self._dirty.values():
             entry = ctx.iq.peek_next_entry()
             if entry is None:
+                ctx.ready_key = None
                 continue
-            key, event = entry
-            if event.recv_time > end_time:
-                continue
-            if best_key is None or key < best_key:
-                best_ctx, best_key, best_event = ctx, key, event
-        if best_ctx is None:
+            key = entry[0]
+            if key != ctx.ready_key:
+                ctx.ready_key = key
+                heapq.heappush(ready, (key, ctx.oid))
+        self._dirty.clear()
+        if len(ready) > 4 * len(self._member_list) + 64:
+            # stale entries dominate: rebuild from the published keys
+            ready = [
+                (ctx.ready_key, ctx.oid)
+                for ctx in self._member_list
+                if ctx.ready_key is not None
+            ]
+            heapq.heapify(ready)
+            self._ready = ready
+
+    def _ready_top(self) -> ObjectContext | None:
+        """Member with the smallest unprocessed key, horizon aside.
+
+        Keys order by receive time first and include the receiver, so
+        they are unique across members: the heap top is exactly the
+        member a scan of every queue would pick.
+        """
+        if self._dirty:
+            self._refresh_ready()
+        ready = self._ready
+        members = self.members
+        while ready:
+            key, oid = ready[0]
+            ctx = members.get(oid)
+            if ctx is not None and ctx.ready_key is key:
+                return ctx
+            heapq.heappop(ready)  # superseded key or departed member
+        return None
+
+    def next_work(self) -> ObjectContext | None:
+        """Member with the lowest-key unprocessed event (its ``ready_key``)
+        within the virtual-time horizon and the optimism window."""
+        ctx = self._ready_top()
+        if ctx is None:
             return None
-        return best_ctx, best_event  # type: ignore[return-value]
+        horizon = self.end_time
+        if self.optimism_bound < horizon:
+            horizon = self.optimism_bound
+        if ctx.ready_key.recv_time > horizon:  # type: ignore[union-attr]
+            return None
+        return ctx
 
     def execute_one(self) -> bool:
         """Execute the LP's next event; False if the LP has no work."""
-        work = self.next_work()
-        if work is None:
+        ctx = self.next_work()
+        if ctx is None:
             return False
-        ctx, _ = work
         event = ctx.iq.pop_next()
+        self._dirty[ctx.oid] = ctx
         ctx.lvt = event.recv_time
         ctx.current_cause_key = event.key()
         try:
@@ -556,6 +630,7 @@ class LogicalProcess:
             event_count=ctx.event_count,
             state=self.snapshot_strategy.snapshot(ctx.state),
             save_cost=cost,
+            size=size,
         )
         ctx.sq.save(saved)
         oracle = self.oracle
@@ -584,28 +659,9 @@ class LogicalProcess:
     # ------------------------------------------------------------------ #
     def local_min(self) -> VirtualTime:
         """Lower bound on any virtual time this LP can still affect."""
-        best = float("inf")
-        arena = self.arena
-        if arena is not None:
-            # One vectorized scan of the arena's time column covers every
-            # member's unprocessed events at once (the per-member heap
-            # peeks below would each skip tombstones in Python).
-            t = arena.min_alive_time()
-            if t is not None:
-                best = t
-            for ctx in self._member_list:
-                t = ctx.cmp_buffer.min_live_time()
-                if t is not None and t < best:
-                    best = t
-            if self.comm is not None:
-                t = self.comm.min_buffered_time()
-                if t is not None and t < best:
-                    best = t
-            return best
+        top = self._ready_top()
+        best = float("inf") if top is None else top.ready_key.recv_time  # type: ignore[union-attr]
         for ctx in self._member_list:
-            t = ctx.iq.min_unprocessed_time()
-            if t is not None and t < best:
-                best = t
             t = ctx.cmp_buffer.min_live_time()
             if t is not None and t < best:
                 best = t
@@ -666,7 +722,7 @@ class LogicalProcess:
         for ctx in self._member_list:
             entries = ctx.sq.entries
             state_entries += len(entries)
-            state_bytes += sum(e.state.size_bytes() for e in entries)
+            state_bytes += sum(e.size for e in entries)
             history_events += len(ctx.iq.processed) + ctx.iq.future_count()
             history_events += len(ctx.oq)
         stats = self.stats
@@ -693,11 +749,10 @@ class LogicalProcess:
         """
         if not ignore_window:
             return self.next_work() is not None
-        for ctx in self._member_list:
-            event = ctx.iq.peek_next()
-            if event is not None and event.recv_time <= self.end_time:
-                return True
-        return False
+        top = self._ready_top()
+        if top is None:
+            return False
+        return top.ready_key.recv_time <= self.end_time  # type: ignore[union-attr]
 
     def object_stats(self) -> dict[str, ObjectStats]:
         return {ctx.obj.name: ctx.stats for ctx in self._member_list}

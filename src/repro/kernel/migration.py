@@ -38,7 +38,7 @@ from .cancellation import Mode
 from .checkpointing import CheckpointWindow
 from .errors import SchedulingError
 from .event import Event, EventKey, SentRecord, VirtualTime
-from .lp import INITIAL_KEY, LogicalProcess, ObjectContext, _ObjectServices
+from .lp import INITIAL_KEY, LogicalProcess, ObjectContext
 from .state import SavedState
 from ..stats.counters import ObjectStats
 
@@ -205,13 +205,7 @@ def detach_object(lp: LogicalProcess, oid: int) -> ObjectCheckpoint:
     if ctx is None:
         raise SchedulingError(f"LP {lp.lp_id} does not host object {oid}")
     ckpt = checkpoint_object(ctx)
-    del lp.members[oid]
-    lp._member_list.remove(ctx)
-    if isinstance(ctx.iq, ArrayInputQueue):
-        # the member's unprocessed events leave with the checkpoint; their
-        # arena rows must die or the LP's local-min scan keeps seeing them
-        ctx.iq.detach()
-    ctx.obj._services = None  # sever the stale kernel binding
+    lp.release(oid)
     return ckpt
 
 
@@ -274,15 +268,12 @@ def restore_object(lp: LogicalProcess, ckpt: ObjectCheckpoint) -> ObjectContext:
     for last_key, lvt, event_count, state, save_cost in ckpt.states:
         ctx.sq.entries.append(SavedState(
             last_key=last_key, lvt=lvt, event_count=event_count,
-            state=state, save_cost=save_cost,
+            state=state, save_cost=save_cost, size=state.size_bytes(),
         ))
     # re-park in original order: fresh seqs, same relative expiry order
     for fields, cause_key, is_lazy in ckpt.comparisons:
         record = SentRecord(event=_event_from(fields), cause_key=cause_key)
         ctx.cmp_buffer.park(record, lazy=is_lazy)
 
-    obj.bind(_ObjectServices(lp, ctx))
-    lp.members[ckpt.oid] = ctx
-    lp._member_list.append(ctx)
-    lp._member_list.sort(key=lambda member: member.oid)
+    lp.adopt(ctx)
     return ctx

@@ -160,8 +160,8 @@ class InputQueue:
 
     def peek_next_entry(self) -> tuple[EventKey, Event] | None:
         """Smallest (key, event) pair without reconstructing the key —
-        the LP scheduler scans every member per event, so this is hot
-        (the tombstone check is inlined to skip a call frame per scan)."""
+        the LP's ready heap re-peeks every member whose queue changed, so
+        this is hot (the tombstone check is inlined to skip a call frame)."""
         if self._tombstones:
             self._skip_tombstones()
         future = self._future

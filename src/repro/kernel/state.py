@@ -292,6 +292,9 @@ class SavedState:
         save_cost: modelled CPU cost charged when the snapshot was taken
             (recorded so the checkpoint controller's cost index can be
             audited per entry).
+        size: ``state.size_bytes()``, measured once when the snapshot was
+            taken; restore costing and memory sampling read it instead of
+            walking the state again.
     """
 
     last_key: EventKey | None
@@ -299,6 +302,7 @@ class SavedState:
     event_count: int
     state: AppState
     save_cost: float = 0.0
+    size: int = 0
 
     def precedes(self, key: EventKey) -> bool:
         """True if this snapshot was taken strictly before ``key``."""

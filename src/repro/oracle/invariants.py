@@ -146,6 +146,13 @@ class InvariantOracle:
     def on_state_save(self, t: float, lp: int, obj: str, snapshot) -> None:
         self._check("state_save")
         self._snapshots[id(snapshot)] = (snapshot, state_digest(snapshot.state))
+        size = snapshot.state.size_bytes()
+        if snapshot.size != size:
+            self._violate(
+                "state_fidelity", t,
+                f"{obj} (lp {lp}): cached snapshot size {snapshot.size} at "
+                f"lvt={snapshot.lvt!r} differs from the state's {size} bytes",
+            )
 
     def on_state_restore(
         self, t: float, lp: int, obj: str, snapshot, restored

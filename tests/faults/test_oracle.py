@@ -24,9 +24,12 @@ class FakeState:
     x: int = 0
     items: list = field(default_factory=list)
 
+    def size_bytes(self) -> int:
+        return 8 * (1 + len(self.items))
+
 
 def snapshot(state, lvt=10.0):
-    return SimpleNamespace(state=state, lvt=lvt)
+    return SimpleNamespace(state=state, lvt=lvt, size=state.size_bytes())
 
 
 class TestStateDigest:
@@ -97,6 +100,14 @@ class TestStateFidelity:
         oracle.on_state_restore(1.0, 0, "obj0", snap, FakeState(x=9))
         assert [v.invariant for v in oracle.violations] == ["state_fidelity"]
         assert "differs" in oracle.violations[0].detail
+
+    def test_stale_cached_size_is_flagged(self):
+        oracle = InvariantOracle()
+        snap = snapshot(FakeState(x=7))
+        snap.size += 1  # a size cached from some other state
+        oracle.on_state_save(0.0, 0, "obj0", snap)
+        assert [v.invariant for v in oracle.violations] == ["state_fidelity"]
+        assert "cached snapshot size" in oracle.violations[0].detail
 
     def test_unseen_snapshot_is_ignored(self):
         # Saved before the oracle was attached: nothing to compare against.

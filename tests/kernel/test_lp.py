@@ -9,13 +9,18 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from repro import SimulationConfig, TimeWarpSimulation
+from repro.apps.phold import PHOLDParams, PHOLDState, build_phold
 from repro.cluster.costmodel import CostModel
+from repro.kernel.arena import HAVE_NUMPY, ArrayInputQueue
 from repro.kernel.cancellation import Mode, StaticCancellation
 from repro.kernel.checkpointing import StaticCheckpoint
 from repro.kernel.event import Event
 from repro.kernel.lp import LogicalProcess
+from repro.kernel.queues import InputQueue
 from repro.kernel.simobject import SimulationObject
 from repro.kernel.state import RecordState
+from tests.helpers import flatten
 
 
 @dataclass
@@ -395,3 +400,54 @@ class TestReceivePath:
 
         with pytest.raises(SchedulingError):
             lp.deliver_event(stray)
+
+
+class TestReadyHeap:
+    def test_readopted_context_is_scheduled_again(self):
+        lp, objs, ids = build_lp()
+        inject(lp, ids["a"], 5.0, ("note", "x"))
+        assert lp.next_work().oid == ids["a"]
+        ctx = lp.release(ids["a"])
+        assert lp.next_work() is None
+        lp.adopt(ctx)
+        assert lp.next_work() is ctx
+        drain(lp)
+        assert objs["a"].state.seen == ["x"]
+
+
+class TestSchedulingScales:
+    """Work counters, not timings: scheduling must not go back to peeking
+    every member per event, and saved states must not be re-measured."""
+
+    @pytest.mark.parametrize("fastpath", [
+        "python",
+        pytest.param("numpy", marks=pytest.mark.skipif(
+            not HAVE_NUMPY, reason="numpy core needs numpy")),
+    ])
+    def test_peeks_and_size_calls_per_event(self, monkeypatch, fastpath):
+        counts = {"peeks": 0, "sizes": 0}
+
+        def counted(fn, name):
+            def wrapper(self):
+                counts[name] += 1
+                return fn(self)
+            return wrapper
+
+        for queue_cls in (InputQueue, ArrayInputQueue):
+            monkeypatch.setattr(queue_cls, "peek_next_entry", counted(
+                queue_cls.peek_next_entry, "peeks"))
+        monkeypatch.setattr(PHOLDState, "size_bytes", counted(
+            PHOLDState.size_bytes, "sizes"))
+
+        members = 100
+        objects = flatten(build_phold(PHOLDParams(
+            n_objects=members, n_lps=1, jobs_per_object=2, seed=5)))
+        config = SimulationConfig(end_time=1_000.0, fastpath=fastpath)
+        stats = TimeWarpSimulation([objects], config).run()
+
+        assert stats.executed_events > 10 * members
+        assert stats.gvt_rounds > 5
+        # a scan of every member would peek >= 100 times per event
+        assert counts["peeks"] <= 3 * stats.executed_events
+        # one measurement per save, snapshot zero included
+        assert counts["sizes"] <= stats.state_saves + members
